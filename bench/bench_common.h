@@ -59,10 +59,12 @@ inline Graph BuildKronecker(int scale, int edge_factor, Labeling labeling,
 // aliased here for the bench binaries.
 using pbfs::BenchJson;
 
-// Median-of-trials runner: calls fn() `trials` times and returns the
-// median elapsed seconds.
+// Median-of-trials runner: calls fn() once untimed, so caches, pages and
+// lazily built state are warm for every timed trial, then `trials`
+// times, and returns the median elapsed seconds.
 template <typename Fn>
 double MedianSeconds(int trials, Fn&& fn) {
+  fn();
   std::vector<double> times;
   times.reserve(trials);
   for (int t = 0; t < trials; ++t) {

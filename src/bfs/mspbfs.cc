@@ -18,11 +18,24 @@
 //    accounted for the vertex;
 //  * state is first-touch initialized with stealing disabled so pages
 //    live on the NUMA node of the owning worker (Section 4.4).
+//
+// Level output (only when the caller passes a level buffer): in batches
+// of more than 16 sources and W/16 of the width, on CPUs with the
+// AVX-512 expansion (see UsePlanes), a vertex discovered at depth d by
+// the BFSs in `nf` gets `plane[p][v] |= nf` for every set bit p of d, a
+// store sequential in v like the `seen` update. After the last level
+// one parallel pass over 64-vertex blocks turns the planes and `seen`
+// into the level rows (bfs/level_planes.h). Planes are allocated as the
+// depth first reaches 2^p, so they never hold more than 16 bitsets per
+// vertex: the size of a full batch's own output. Other batches store
+// each discovery straight into its level rows.
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
+#include "bfs/level_planes.h"
 #include "bfs/multi_source.h"
 #include "sched/numa_layout.h"
 #include "util/aligned_buffer.h"
@@ -32,6 +45,7 @@
 
 #ifdef PBFS_TRACING
 #include "obs/bfs_instrument.h"
+#include "obs/profiler/phase_tag.h"
 #endif
 
 namespace pbfs {
@@ -70,7 +84,10 @@ class MsPbfs final : public MultiSourceBfsBase {
   int width() const override { return kBits; }
 
   uint64_t StateBytes() const override {
-    return seen_.size_bytes() + frontier_.size_bytes() + next_.size_bytes();
+    uint64_t bytes =
+        seen_.size_bytes() + frontier_.size_bytes() + next_.size_bytes();
+    for (const auto& plane : planes_) bytes += plane.size_bytes();
+    return bytes;
   }
 
   MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
@@ -91,16 +108,24 @@ class MsPbfs final : public MultiSourceBfsBase {
 #endif
     if (stats != nullptr) stats->Reset(executor_->num_workers());
 
+    // Level rows are either stored per discovery (after being filled
+    // with kLevelUnreached below) or written by the output pass.
+    Level* const direct_levels = UsePlanes(k) ? nullptr : levels;
+    const bool use_planes = levels != nullptr && direct_levels == nullptr;
+
     // State may be dirty from a previous batch; clear in parallel with
-    // owner-only tasks to keep page placement intact.
-    executor_->FirstTouchFor(n, split, [this](int, uint64_t b, uint64_t e) {
+    // owner-only tasks to keep page placement intact. The planes are
+    // clean: the output pass zeroes what it reads.
+    executor_->FirstTouchFor(n, split, [&](int, uint64_t b, uint64_t e) {
       std::memset(seen_.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
       std::memset(frontier_.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
       std::memset(next_.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
+      if (direct_levels == nullptr) return;
+      for (int i = 0; i < k; ++i) {
+        Level* row = direct_levels + static_cast<size_t>(i) * n;
+        std::fill(row + b, row + e, kLevelUnreached);
+      }
     });
-    if (levels != nullptr) {
-      std::fill(levels, levels + static_cast<size_t>(k) * n, kLevelUnreached);
-    }
 
     MsBfsResult result;
     result.total_visits = k;
@@ -112,18 +137,27 @@ class MsPbfs final : public MultiSourceBfsBase {
       seen_[sources[i]].Set(i);
       frontier_[sources[i]].Set(i);
       scout_edges += graph_.Degree(sources[i]);
-      if (levels != nullptr) levels[static_cast<size_t>(i) * n + sources[i]] = 0;
+      if (direct_levels != nullptr) {
+        direct_levels[static_cast<size_t>(i) * n + sources[i]] = 0;
+      }
     }
 
     const Bitset<kBits> active = Bitset<kBits>::LowBits(k);
     uint64_t edges_to_check = graph_.num_directed_edges();
     bool bottom_up = false;
     Level depth = 0;
+    // Where this level's discoveries are recorded (nowhere without a
+    // level buffer).
+    LevelSink sink;
+    sink.levels = direct_levels;
+    sink.n = n;
 
     while (frontier_vertices > 0) {
       PBFS_CHECK(depth < kMaxLevel);
       if (depth >= options.max_level) break;  // bounded traversal
       ++depth;
+      sink.depth = depth;
+      if (use_planes) SetPlanes(depth, split, &sink);
 
       if (options.enable_bottom_up) {
         if (!bottom_up && static_cast<double>(scout_edges) >
@@ -147,9 +181,9 @@ class MsPbfs final : public MultiSourceBfsBase {
 #endif
 
       if (!bottom_up) {
-        RunTopDown(n, split, depth, levels, stats);
+        RunTopDown(n, split, sink, stats);
       } else {
-        RunBottomUp(n, split, depth, levels, active, stats);
+        RunBottomUp(n, split, sink, active, stats);
       }
 
       uint64_t discovered_vertices = 0;
@@ -183,13 +217,92 @@ class MsPbfs final : public MultiSourceBfsBase {
       }
       frontier_vertices = discovered_vertices;
     }
+    if (use_planes) {
+      // Discoveries ran at depths 1..iterations; a last level that found
+      // nothing may have allocated one more plane, which is still zero.
+      const int num_planes =
+          level_planes::PlanesFor(static_cast<Level>(result.iterations));
+      WriteLevels(n, k, split, num_planes, levels);
+    }
     return result;
   }
 
  private:
   static constexpr uint32_t kDesiredSplitSize = 1024;
+  // Whether a batch of k sources records its discoveries in planes
+  // rather than storing them straight into the level rows. Planes pay
+  // once one plane (W/8 B per vertex) is smaller than the batch's own
+  // rows (2k B per vertex) and the batch covers the output pass's fixed
+  // cost, which took 16 sources at width 64. Per call on a 2^18-vertex
+  // Kronecker graph, 4 workers on a 4-vCPU Xeon VM with AVX-512BW,
+  // direct against planes: width 64,
+  // 16 sources 15.7-17.0 / 15.0-18.6 ms, 64 sources 38.4 / 26.1 ms;
+  // width 256, 32 sources 41-42 / 40-43 ms, 64 sources 66-69 / 51-52 ms;
+  // width 512, 32 sources 76-80 / 70-72 ms, 64 sources 112 / 91-95 ms;
+  // width 1024, 64 sources 176-217 / 192-199 ms, 128 sources 240-244 /
+  // 215-229 ms. The scalar expansion loses to direct stores even for
+  // full batches, so planes need the AVX-512 one.
+  static bool UsePlanes(int k) {
+    return k > std::max(16, kBits / 16) && level_planes::HasAvx512Expand();
+  }
 
-  void RunTopDown(Vertex n, uint32_t split, Level depth, Level* levels,
+  // Where one level's discoveries go: the planes of the set bits of the
+  // depth, or the level rows themselves.
+  struct LevelSink {
+    Bitset<kBits>* planes[level_planes::kMaxPlanes] = {};
+    int num_planes = 0;
+    Level* levels = nullptr;
+    size_t n = 0;
+    Level depth = 0;
+  };
+
+  // Points `sink` at the planes of `depth`'s set bits; allocates (and
+  // first-touches, with the traversal's split) the plane for bit p when
+  // the depth first reaches 2^p.
+  void SetPlanes(Level depth, uint32_t split, LevelSink* sink) {
+    const int needed = level_planes::PlanesFor(depth);
+    while (static_cast<int>(planes_.size()) < needed) {
+      const Vertex n = graph_.num_vertices();
+      AlignedBuffer<Bitset<kBits>>& plane = planes_.emplace_back(n);
+      executor_->FirstTouchFor(
+          n, split, [&plane](int, uint64_t b, uint64_t e) {
+            std::memset(plane.data() + b, 0, (e - b) * sizeof(Bitset<kBits>));
+          });
+    }
+    sink->num_planes = 0;
+    for (unsigned d = depth; d != 0; d &= d - 1) {
+      sink->planes[sink->num_planes++] = planes_[std::countr_zero(d)].data();
+    }
+  }
+
+  // The one output pass: every task writes the level rows of its own
+  // vertex range from `seen_` and the first `num_planes` planes, and
+  // zeroes those planes for the next batch.
+  void WriteLevels(Vertex n, int k, uint32_t split, int num_planes,
+                   Level* levels) {
+#ifdef PBFS_TRACING
+    obs::SetCurrentBfsPhase("ms-pbfs.write_levels", 0, false);
+    obs::ScopedSpan span("ms-pbfs.write_levels");
+    span.AddArg("bytes", static_cast<uint64_t>(k) * n * sizeof(Level));
+    span.AddArg("planes", static_cast<uint64_t>(num_planes));
+#endif
+    Bitset<kBits>* planes[level_planes::kMaxPlanes];
+    for (int p = 0; p < num_planes; ++p) planes[p] = planes_[p].data();
+    const level_planes::ExpandFn expand = level_planes::SelectExpand();
+    // Task borders on block borders, so only the last block is partial.
+    const uint32_t block_split =
+        (split + level_planes::kBlock - 1) / level_planes::kBlock *
+        level_planes::kBlock;
+    executor_->ParallelFor(n, block_split, [&](int, uint64_t b, uint64_t e) {
+      level_planes::WriteLevelRows<kBits>(planes, num_planes, seen_.data(), n,
+                                          k, b, e, levels, expand);
+    });
+#ifdef PBFS_TRACING
+    obs::ClearCurrentBfsPhase();
+#endif
+  }
+
+  void RunTopDown(Vertex n, uint32_t split, const LevelSink& sink,
                   TraversalStats* stats) {
     // Phase 1: aggregate reachability. `frontier` and the graph are
     // read-only except for the owner's in-loop clear of frontier[v]
@@ -226,7 +339,7 @@ class MsPbfs final : public MultiSourceBfsBase {
         if (nf != next_[v]) next_[v] = nf;  // write only on change
         if (nf.None()) continue;
         seen_[v] |= nf;
-        Visit(static_cast<Vertex>(v), nf, depth, levels);
+        Record(v, nf, sink);
         ++local.discovered_vertices;
         local.discovered_visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(v));
@@ -244,7 +357,7 @@ class MsPbfs final : public MultiSourceBfsBase {
     std::swap(frontier_, next_);
   }
 
-  void RunBottomUp(Vertex n, uint32_t split, Level depth, Level* levels,
+  void RunBottomUp(Vertex n, uint32_t split, const LevelSink& sink,
                    const Bitset<kBits>& active, TraversalStats* stats) {
     executor_->ParallelFor(n, split, [&](int w, uint64_t b, uint64_t e) {
       int64_t t0 = stats != nullptr ? NowNanos() : 0;
@@ -286,7 +399,7 @@ class MsPbfs final : public MultiSourceBfsBase {
         next_[u] = nf;
         if (nf.None()) continue;
         seen_[u] |= nf;
-        Visit(static_cast<Vertex>(u), nf, depth, levels);
+        Record(u, nf, sink);
         ++local.discovered_vertices;
         local.discovered_visits += nf.Count();
         local.scout_edges += graph_.Degree(static_cast<Vertex>(u));
@@ -311,12 +424,12 @@ class MsPbfs final : public MultiSourceBfsBase {
     std::swap(frontier_, next_);
   }
 
-  void Visit(Vertex v, const Bitset<kBits>& bfs_bits, Level depth,
-             Level* levels) {
-    if (levels == nullptr) return;
-    const size_t n = graph_.num_vertices();
-    bfs_bits.ForEachSetBit([&](int bfs) {
-      levels[static_cast<size_t>(bfs) * n + v] = depth;
+  static void Record(uint64_t v, const Bitset<kBits>& nf,
+                     const LevelSink& sink) {
+    for (int i = 0; i < sink.num_planes; ++i) sink.planes[i][v] |= nf;
+    if (sink.levels == nullptr) return;
+    nf.ForEachSetBit([&](int bfs) {
+      sink.levels[static_cast<size_t>(bfs) * sink.n + v] = sink.depth;
     });
   }
 
@@ -327,6 +440,9 @@ class MsPbfs final : public MultiSourceBfsBase {
   AlignedBuffer<Bitset<kBits>> frontier_;
   AlignedBuffer<Bitset<kBits>> next_;
   std::vector<WorkerReduction> reduction_;
+  // Depth planes (bit p of each vertex's discovery depth), allocated on
+  // first use; all zero between batches.
+  std::vector<AlignedBuffer<Bitset<kBits>>> planes_;
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "bfs/beamer.h"
+#include "bfs/level_planes.h"
 #include "bfs/multi_source.h"
 #include "bfs/sequential.h"
 #include "bfs/single_source.h"
@@ -288,6 +289,40 @@ TEST(MultiSourceTest, FullWidthBatch) {
         levels.begin() + (i + 1) * g.num_vertices());
     ASSERT_EQ(testing_util::FirstLevelMismatch(expected, got), -1)
         << "bfs " << i;
+  }
+}
+
+TEST(MultiSourceTest, DeepPathNeedsThirteenLevelPlanes) {
+  // Depth 4999 takes 13 bit-planes of the level output; sources at both
+  // ends and spread between them (more than the 16 below which a batch
+  // stores levels per discovery), on one worker and on four. CPUs
+  // without the AVX-512 expansion store per discovery at every size.
+  Graph g = Path(5000);
+  const Vertex n = g.num_vertices();
+  std::vector<Vertex> sources = {0, n - 1};
+  for (Vertex v = 137; sources.size() < 20; v += 251) sources.push_back(v);
+  SerialExecutor serial;
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  for (Executor* executor : {static_cast<Executor*>(&serial),
+                             static_cast<Executor*>(&pool)}) {
+    std::unique_ptr<MultiSourceBfsBase> bfs = MakeMsPbfs(g, 64, executor);
+    EXPECT_EQ(bfs->StateBytes(), MultiSourceStateBytes(n, 64));
+    bfs->Run(sources, BfsOptions{}, nullptr);
+    EXPECT_EQ(bfs->StateBytes(), MultiSourceStateBytes(n, 64))
+        << "planes allocated without a level buffer";
+    std::vector<Level> levels(sources.size() * n);
+    bfs->Run(sources, BfsOptions{}, levels.data());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      std::vector<Level> expected = ReferenceLevels(g, sources[i]);
+      std::vector<Level> got(levels.begin() + i * n,
+                             levels.begin() + (i + 1) * n);
+      EXPECT_EQ(testing_util::FirstLevelMismatch(expected, got), -1)
+          << "workers=" << executor->num_workers() << " source "
+          << sources[i];
+    }
+    // Three state bitsets plus 13 planes per vertex.
+    const uint64_t planes = level_planes::HasAvx512Expand() ? 13 : 0;
+    EXPECT_EQ(bfs->StateBytes(), (3 + planes) * uint64_t{n} * 8);
   }
 }
 

@@ -2,6 +2,8 @@
 // visit exactly the vertices within the radius and report levels capped
 // at the bound.
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "bfs/beamer.h"
@@ -107,6 +109,33 @@ INSTANTIATE_TEST_SUITE_P(Radii, BoundedBfsTest,
                          [](const ::testing::TestParamInfo<Level>& info) {
                            return "radius" + std::to_string(info.param);
                          });
+
+TEST_P(BoundedBfsTest, PartlyFilledWideBatchesRespectRadius) {
+  // MS-PBFS on four workers at widths 64 and 256, with batches that
+  // leave the last bitset word partly empty.
+  const Level radius = GetParam();
+  BfsOptions options;
+  options.max_level = radius;
+  Graph g = SocialNetwork({.num_vertices = 3000, .avg_degree = 6.0,
+                           .seed = 37});
+  const Vertex n = g.num_vertices();
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  for (auto [width, k] : {std::pair{64, 37}, std::pair{256, 150}}) {
+    std::vector<Vertex> sources = PickSources(g, k, 11);
+    auto bfs = MakeMsPbfs(g, width, &pool);
+    std::vector<Level> levels(sources.size() * n);
+    bfs->Run(sources, options, levels.data());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      std::vector<Level> expected =
+          Bounded(testing_util::ReferenceLevels(g, sources[i]), radius);
+      std::vector<Level> got(levels.begin() + i * n,
+                             levels.begin() + (i + 1) * n);
+      ASSERT_EQ(testing_util::FirstLevelMismatch(expected, got), -1)
+          << "width " << width << " source index " << i << " radius "
+          << radius;
+    }
+  }
+}
 
 TEST(BoundedBfsTest, ZeroRadiusVisitsOnlySource) {
   Graph g = Star(50);

@@ -9,12 +9,14 @@
 // Chrome trace JSON must round-trip through a real parser even with
 // hostile event names. Labeled "obs" in CMake; see docs/observability.md.
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bfs/level_planes.h"
 #include "bfs/multi_source.h"
 #include "bfs/sequential.h"
 #include "bfs/single_source.h"
@@ -299,6 +302,55 @@ TEST(ObsKernelTest, MsPbfsStatesUpdatedMatchLevelsOutput) {
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].Arg("width"), 64u);
   EXPECT_EQ(runs[0].Arg("sources"), sources.size());
+}
+
+TEST(ObsKernelTest, MsPbfsWriteLevelsSpanOncePerRunWithLevels) {
+  Graph graph = Grid(40, 30);
+  const Vertex n = graph.num_vertices();
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  std::unique_ptr<MultiSourceBfsBase> bfs = MakeMsPbfs(graph, 64, &pool);
+  // More than 16 sources: smaller batches store levels per discovery
+  // and have no output pass, as do all batches on CPUs without the
+  // AVX-512 expansion.
+  std::vector<Vertex> sources = {0, n - 1};
+  for (Vertex v = 617; sources.size() < 20; v += 29) sources.push_back(v);
+  std::vector<Level> levels(sources.size() * n);
+
+  Tracer::Get().Start();
+  bfs->Run(sources, BfsOptions{}, nullptr);
+  bfs->Run(std::span<const Vertex>(sources).first(16), BfsOptions{},
+           levels.data());
+  TraceDump dump = Tracer::Get().Stop();
+  EXPECT_TRUE(EventsNamed(dump, "ms-pbfs.write_levels").empty());
+
+  Tracer::Get().Start();
+  bfs->Run(sources, BfsOptions{}, levels.data());
+  dump = Tracer::Get().Stop();
+  const std::vector<TraceEvent> writes =
+      EventsNamed(dump, "ms-pbfs.write_levels");
+  if (!level_planes::HasAvx512Expand()) {
+    EXPECT_TRUE(writes.empty());
+    GTEST_SKIP() << "CPU lacks AVX-512BW: no output pass";
+  }
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(writes[0].Arg("bytes"), sources.size() * n * sizeof(Level));
+  // The grid's diameter is 68: depths up to 68 take 7 planes.
+  Level deepest = 0;
+  for (Level l : levels) {
+    if (l != kLevelUnreached) deepest = std::max(deepest, l);
+  }
+  ASSERT_EQ(deepest, 68);
+  EXPECT_EQ(writes[0].Arg("planes"), 7u);
+
+  // The output pass runs after the last level, inside the run.
+  const std::vector<TraceEvent> runs = EventsNamed(dump, "ms-pbfs.run");
+  ASSERT_EQ(runs.size(), 1u);
+  for (const TraceEvent& level : EventsNamed(dump, "ms-pbfs.level")) {
+    EXPECT_LE(level.ts_ns + level.dur_ns, writes[0].ts_ns);
+  }
+  EXPECT_GE(writes[0].ts_ns, runs[0].ts_ns);
+  EXPECT_LE(writes[0].ts_ns + writes[0].dur_ns,
+            runs[0].ts_ns + runs[0].dur_ns);
 }
 
 // ---------------------------------------------------------------------
