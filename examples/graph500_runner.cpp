@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   std::vector<pbfs::Vertex> perm = pbfs::ComputeLabeling(
       raw, pbfs::Labeling::kStriped,
       {.num_workers = static_cast<int>(threads), .split_size = 1024});
-  pbfs::Graph graph = pbfs::ApplyLabeling(raw, perm);
+  pbfs::Graph graph = pbfs::ApplyLabelingParallel(raw, perm, &pool);
   std::printf("kernel 1 (construction): %.2f s — %u vertices, %llu edges\n",
               timer.ElapsedSeconds(), graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()));

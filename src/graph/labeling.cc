@@ -23,12 +23,21 @@ const char* LabelingName(Labeling labeling) {
 }
 
 std::vector<Vertex> VerticesByDegreeDescending(const Graph& graph) {
+  // Counting sort on max_degree - degree; each bucket is filled in
+  // vertex order, so ties keep ascending ids.
   const Vertex n = graph.num_vertices();
+  const EdgeIndex max_degree = graph.MaxDegree();
   std::vector<Vertex> order(n);
-  std::iota(order.begin(), order.end(), Vertex{0});
-  std::stable_sort(order.begin(), order.end(), [&](Vertex a, Vertex b) {
-    return graph.Degree(a) > graph.Degree(b);
-  });
+  std::vector<Vertex> bucket_start(static_cast<size_t>(max_degree) + 2, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    ++bucket_start[max_degree - graph.Degree(v) + 1];
+  }
+  for (size_t b = 1; b < bucket_start.size(); ++b) {
+    bucket_start[b] += bucket_start[b - 1];
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    order[bucket_start[max_degree - graph.Degree(v)]++] = v;
+  }
   return order;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <vector>
 
 #include "util/aligned_buffer.h"
 #include "util/check.h"
@@ -42,20 +43,34 @@ Graph BuildGraphParallel(Vertex num_vertices, std::span<const Edge> edges,
   }
   raw_offsets[num_vertices] = total;
 
-  // Pass 2: scatter, reusing `counts` as atomic per-vertex cursors.
-  for (Vertex v = 0; v < num_vertices; ++v) counts[v] = raw_offsets[v];
+  // Pass 2: owner-computes scatter. [0, n) is cut into one vertex range
+  // per worker, each holding about 1/P of the slots; one task per range
+  // scans the whole edge list and places only the endpoints inside its
+  // range, through plain cursors (`counts` reused). Every slot and every
+  // cursor has exactly one writer, so hub lists shared by all edges never
+  // bounce between cores, and the fill order is the edge-list order.
+  const int parts = std::max(1, executor->num_workers());
+  std::vector<Vertex> bounds(static_cast<size_t>(parts) + 1, num_vertices);
+  bounds[0] = 0;
+  const EdgeIndex* first = raw_offsets.data();
+  const EdgeIndex* last = first + num_vertices + 1;
+  for (int p = 1; p < parts; ++p) {
+    const EdgeIndex target = total * static_cast<EdgeIndex>(p) / parts;
+    bounds[p] =
+        static_cast<Vertex>(std::lower_bound(first, last, target) - first);
+  }
   AlignedBuffer<Vertex> raw_targets(total);
-  executor->ParallelFor(edges.size(), kEdgeSplit, [&](int, uint64_t b,
-                                                      uint64_t e) {
-    for (uint64_t i = b; i < e; ++i) {
-      const Edge& edge = edges[i];
-      if (edge.u == edge.v) continue;
-      EdgeIndex slot_u = std::atomic_ref<EdgeIndex>(counts[edge.u])
-                             .fetch_add(1, std::memory_order_relaxed);
-      raw_targets[slot_u] = edge.v;
-      EdgeIndex slot_v = std::atomic_ref<EdgeIndex>(counts[edge.v])
-                             .fetch_add(1, std::memory_order_relaxed);
-      raw_targets[slot_v] = edge.u;
+  executor->ParallelFor(parts, 1, [&](int, uint64_t b, uint64_t e) {
+    for (uint64_t p = b; p < e; ++p) {
+      const Vertex lo = bounds[p];
+      const Vertex span = bounds[p + 1] - lo;
+      if (span == 0) continue;
+      for (Vertex v = lo; v < lo + span; ++v) counts[v] = raw_offsets[v];
+      for (const Edge& edge : edges) {
+        if (edge.u == edge.v) continue;
+        if (edge.u - lo < span) raw_targets[counts[edge.u]++] = edge.v;
+        if (edge.v - lo < span) raw_targets[counts[edge.v]++] = edge.u;
+      }
     }
   });
 

@@ -2,11 +2,13 @@
 //
 // Produces exactly the same graph as Graph::FromEdges — symmetrized,
 // self-loop free, deduplicated, sorted adjacency — but builds it with
-// vertex- and edge-parallel passes: atomic degree counting, scatter with
-// atomic per-vertex cursors, per-vertex parallel sort/dedup, and a
-// final parallel compaction. Useful for the large generated graphs of
-// the scaling experiments, where sequential construction dominates
-// end-to-end time.
+// vertex- and edge-parallel passes: atomic degree counting, an
+// owner-computes scatter (the vertices are cut into one range per worker
+// holding about 1/P of the adjacency slots, and each range is filled by
+// one task that scans the whole edge list, so no slot or cursor is
+// shared), per-vertex parallel sort/dedup, and a final parallel
+// compaction. Useful for the large generated graphs of the scaling
+// experiments, where sequential construction dominates end-to-end time.
 #ifndef PBFS_GRAPH_PARALLEL_BUILD_H_
 #define PBFS_GRAPH_PARALLEL_BUILD_H_
 

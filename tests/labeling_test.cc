@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,41 @@ TEST(LabelingTest, DegreeOrderedSortsByDegreeDescending) {
   EXPECT_EQ(perm[0], 0u);  // highest degree gets the smallest id
   // All leaves have equal degree; stable sort keeps their relative order.
   for (Vertex v = 1; v < 16; ++v) EXPECT_EQ(perm[v], v);
+}
+
+// The ranking as a stable sort on descending degree: ties in id order.
+std::vector<Vertex> StableSortReference(const Graph& g) {
+  std::vector<Vertex> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), Vertex{0});
+  std::stable_sort(order.begin(), order.end(), [&](Vertex a, Vertex b) {
+    return g.Degree(a) > g.Degree(b);
+  });
+  return order;
+}
+
+TEST(LabelingTest, DegreeRankingMatchesStableSort) {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("empty", Graph::FromEdges(0, {}));
+  graphs.emplace_back("all_isolated", Graph::FromEdges(17, {}));
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    // Few edges per vertex: small degrees, many ties, isolated vertices.
+    graphs.emplace_back("sparse_random",
+                        ErdosRenyi(2000, 1500 * seed, seed));
+  }
+  // One vertex of maximum degree on top of a tie-heavy random graph.
+  std::vector<Edge> edges = ErdosRenyiEdges(500, 600, 9);
+  for (Vertex v = 0; v < 500; ++v) {
+    if (v != 321) edges.push_back({321, v});
+  }
+  Graph single_max = Graph::FromEdges(500, edges);
+  EXPECT_EQ(VerticesByDegreeDescending(single_max)[0], 321u);
+  graphs.emplace_back("single_max", std::move(single_max));
+  graphs.emplace_back("kron", Kronecker({.scale = 12, .edge_factor = 16,
+                                         .seed = 5}));
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(VerticesByDegreeDescending(g), StableSortReference(g));
+  }
 }
 
 TEST(LabelingTest, RandomDeterministicBySeed) {
