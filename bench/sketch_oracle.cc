@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
       .cluster_size = static_cast<int>(cluster_size)};
 
   // Build-cost scaling: the same sketch configuration over ER graphs of
-  // n/16, n/4, and n vertices (one MS-PBFS pass per 64-seed batch plus
-  // the per-vertex fold; see sketch/sketch.h).
+  // n/16, n/4, and n vertices (one MS-PBFS pass per cluster, writing the
+  // sketch entries as it discovers each vertex; see sketch/sketch.h).
   pbfs::bench::PrintTitle("sketch build cost");
   double build_s[3] = {0, 0, 0};
   const int64_t size_shift[3] = {4, 2, 0};

@@ -29,6 +29,12 @@
 // depth first reaches 2^p, so they never hold more than 16 bitsets per
 // vertex: the size of a full batch's own output. Other batches store
 // each discovery straight into its level rows.
+//
+// RunNearest writes no level rows. Each discovery goes to the caller's
+// nearest-source columns instead: a vertex's first discovery sets its
+// distance and the sources at it, and a discovery at the next level
+// sets the sources one hop further (the Cluster-BFS entries of
+// sketch/sketch.h).
 
 #include <algorithm>
 #include <bit>
@@ -92,6 +98,24 @@ class MsPbfs final : public MultiSourceBfsBase {
 
   MsBfsResult Run(std::span<const Vertex> sources, const BfsOptions& options,
                   Level* levels) override {
+    return RunBatch(sources, options, levels, nullptr);
+  }
+
+  MsBfsResult RunNearest(std::span<const Vertex> sources,
+                         const BfsOptions& options,
+                         const NearestColumns& columns) override {
+    PBFS_CHECK(sources.size() <= 64);
+    PBFS_CHECK(columns.dist != nullptr && columns.bits0 != nullptr &&
+               columns.bits1 != nullptr && columns.stride > 0);
+    return RunBatch(sources, options, nullptr, &columns);
+  }
+
+ private:
+  static constexpr uint32_t kDesiredSplitSize = 1024;
+
+  MsBfsResult RunBatch(std::span<const Vertex> sources,
+                       const BfsOptions& options, Level* levels,
+                       const NearestColumns* nearest) {
     const Vertex n = graph_.num_vertices();
     const int k = static_cast<int>(sources.size());
     PBFS_CHECK(k > 0 && k <= kBits);
@@ -140,6 +164,11 @@ class MsPbfs final : public MultiSourceBfsBase {
       if (direct_levels != nullptr) {
         direct_levels[static_cast<size_t>(i) * n + sources[i]] = 0;
       }
+      if (nearest != nullptr) {
+        const size_t slot = static_cast<size_t>(sources[i]) * nearest->stride;
+        nearest->dist[slot] = 0;
+        nearest->bits0[slot] |= uint64_t{1} << i;
+      }
     }
 
     const Bitset<kBits> active = Bitset<kBits>::LowBits(k);
@@ -147,10 +176,11 @@ class MsPbfs final : public MultiSourceBfsBase {
     bool bottom_up = false;
     Level depth = 0;
     // Where this level's discoveries are recorded (nowhere without a
-    // level buffer).
+    // level buffer or nearest-source columns).
     LevelSink sink;
     sink.levels = direct_levels;
     sink.n = n;
+    if (nearest != nullptr) sink.nearest = *nearest;
 
     while (frontier_vertices > 0) {
       PBFS_CHECK(depth < kMaxLevel);
@@ -227,8 +257,6 @@ class MsPbfs final : public MultiSourceBfsBase {
     return result;
   }
 
- private:
-  static constexpr uint32_t kDesiredSplitSize = 1024;
   // Whether a batch of k sources records its discoveries in planes
   // rather than storing them straight into the level rows. Planes pay
   // once one plane (W/8 B per vertex) is smaller than the batch's own
@@ -247,13 +275,15 @@ class MsPbfs final : public MultiSourceBfsBase {
   }
 
   // Where one level's discoveries go: the planes of the set bits of the
-  // depth, or the level rows themselves.
+  // depth, or the level rows themselves, and the nearest-source columns
+  // of RunNearest (nearest.dist is null otherwise).
   struct LevelSink {
     Bitset<kBits>* planes[level_planes::kMaxPlanes] = {};
     int num_planes = 0;
     Level* levels = nullptr;
     size_t n = 0;
     Level depth = 0;
+    NearestColumns nearest;
   };
 
   // Points `sink` at the planes of `depth`'s set bits; allocates (and
@@ -427,6 +457,20 @@ class MsPbfs final : public MultiSourceBfsBase {
   static void Record(uint64_t v, const Bitset<kBits>& nf,
                      const LevelSink& sink) {
     for (int i = 0; i < sink.num_planes; ++i) sink.planes[i][v] |= nf;
+    if (sink.nearest.dist != nullptr) {
+      // The first discovery of v is its nearest-source distance, and the
+      // one after it, if at the next level, its sources one hop further.
+      // Only the task owning v gets here, so plain stores suffice. The
+      // sources are the low 64 bits.
+      const size_t slot = v * sink.nearest.stride;
+      Level& dist = sink.nearest.dist[slot];
+      if (dist == kLevelUnreached) {
+        dist = sink.depth;
+        sink.nearest.bits0[slot] = nf.word[0];
+      } else if (sink.depth == dist + 1) {
+        sink.nearest.bits1[slot] = nf.word[0];
+      }
+    }
     if (sink.levels == nullptr) return;
     nf.ForEachSetBit([&](int bfs) {
       sink.levels[static_cast<size_t>(bfs) * sink.n + v] = sink.depth;

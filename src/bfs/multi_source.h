@@ -27,6 +27,7 @@
 #include "bfs/common.h"
 #include "graph/graph.h"
 #include "sched/executor.h"
+#include "util/check.h"
 
 namespace pbfs {
 
@@ -50,6 +51,31 @@ class MultiSourceBfsBase {
   // if v is not reachable).
   virtual MsBfsResult Run(std::span<const Vertex> sources,
                           const BfsOptions& options, Level* levels) = 0;
+
+  // Where RunNearest records, for each vertex v, the distance to the
+  // nearest source and which sources sit at that distance and one hop
+  // further: dist[v * stride], bits0[v * stride], bits1[v * stride].
+  // Bit i stands for sources[i].
+  struct NearestColumns {
+    Level* dist = nullptr;
+    uint64_t* bits0 = nullptr;
+    uint64_t* bits1 = nullptr;
+    size_t stride = 1;
+  };
+
+  // Runs one batch of at most 64 sources and fills `columns`:
+  // dist = min over i of d(v, sources[i]), bits0 = the sources at dist,
+  // bits1 = the sources at dist + 1. The kernel records them as it
+  // discovers each vertex, so no level rows are written. Every entry
+  // must hold dist = kLevelUnreached and bits0 = bits1 = 0 on entry;
+  // vertices no source reaches keep those values. Only MS-PBFS
+  // implements it.
+  virtual MsBfsResult RunNearest(std::span<const Vertex> /*sources*/,
+                                 const BfsOptions& /*options*/,
+                                 const NearestColumns& /*columns*/) {
+    PBFS_CHECK(false && "RunNearest is implemented by MS-PBFS only");
+    return {};
+  }
 
   virtual int width() const = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/sort_unique.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -167,12 +168,18 @@ Graph ApplyLabelingParallel(const Graph& graph,
   }
   offsets[n] = total;
 
-  executor->ParallelFor(n, 1 << 12, [&](int, uint64_t b, uint64_t e) {
+  // Lists are distinct already, so the sort must keep every id; a
+  // shorter result means `perm` maps two neighbors to one id.
+  std::vector<std::vector<uint64_t>> bitmaps(
+      std::max(1, executor->num_workers()));
+  executor->ParallelFor(n, 1 << 12, [&](int w, uint64_t b, uint64_t e) {
     for (uint64_t new_id = b; new_id < e; ++new_id) {
       const Vertex old_id = inverse[new_id];
-      EdgeIndex out = offsets[new_id];
-      for (Vertex t : graph.Neighbors(old_id)) targets[out++] = perm[t];
-      std::sort(targets.data() + offsets[new_id], targets.data() + out);
+      Vertex* const begin = targets.data() + offsets[new_id];
+      Vertex* end = begin;
+      for (Vertex t : graph.Neighbors(old_id)) *end++ = perm[t];
+      const size_t kept = SortUniqueNeighbors(begin, end, n, &bitmaps[w]);
+      PBFS_CHECK(kept == static_cast<size_t>(end - begin));
     }
   });
   return Graph::FromCsr(n, std::move(offsets), std::move(targets));

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <vector>
 
+#include "graph/sort_unique.h"
 #include "util/aligned_buffer.h"
 #include "util/check.h"
 
@@ -74,17 +75,21 @@ Graph BuildGraphParallel(Vertex num_vertices, std::span<const Edge> edges,
     }
   });
 
-  // Pass 3: per-vertex sort + in-place dedup; record unique counts.
-  executor->ParallelFor(num_vertices, kVertexSplit, [&](int, uint64_t b,
-                                                        uint64_t e) {
-    for (uint64_t v = b; v < e; ++v) {
-      Vertex* begin = raw_targets.data() + raw_offsets[v];
-      Vertex* end = raw_targets.data() + raw_offsets[v + 1];
-      std::sort(begin, end);
-      Vertex* unique_end = std::unique(begin, end);
-      counts[v] = static_cast<EdgeIndex>(unique_end - begin);
-    }
-  });
+  // Pass 3: per-vertex sort + in-place dedup (hub lists through a
+  // per-worker bitmap, freed before compaction allocates); record unique
+  // counts.
+  {
+    std::vector<std::vector<uint64_t>> bitmaps(parts);
+    executor->ParallelFor(num_vertices, kVertexSplit, [&](int w, uint64_t b,
+                                                          uint64_t e) {
+      for (uint64_t v = b; v < e; ++v) {
+        counts[v] = static_cast<EdgeIndex>(SortUniqueNeighbors(
+            raw_targets.data() + raw_offsets[v],
+            raw_targets.data() + raw_offsets[v + 1], num_vertices,
+            &bitmaps[w]));
+      }
+    });
+  }
 
   // Final offsets from unique counts, then parallel compaction.
   AlignedBuffer<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1);

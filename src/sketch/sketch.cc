@@ -71,13 +71,13 @@ std::shared_ptr<const ClusterSketch> BuildSketch(const Graph& graph,
       SelectSeeds(graph, options.num_clusters, options.strategy, options.seed);
   const size_t k = seeds.size();
   sketch->clusters_.reserve(k);
+  // RunNearest fills in what each cluster's traversal reaches.
   sketch->dist_.assign(static_cast<size_t>(n) * k, kLevelUnreached);
   sketch->bits0_.assign(static_cast<size_t>(n) * k, 0);
   sketch->bits1_.assign(static_cast<size_t>(n) * k, 0);
   if (k == 0) return sketch;
 
   std::unique_ptr<MultiSourceBfsBase> bfs = MakeMsPbfs(graph, 64, executor);
-  std::vector<Level> levels(static_cast<size_t>(options.cluster_size) * n);
   for (size_t c = 0; c < k; ++c) {
     ClusterSketch::Cluster cluster;
     cluster.center = seeds[c];
@@ -89,57 +89,35 @@ std::shared_ptr<const ClusterSketch> BuildSketch(const Graph& graph,
       }
       cluster.members.push_back(neighbor);
     }
-    const size_t members = cluster.members.size();
-    bfs->Run(cluster.members, BfsOptions{}, levels.data());
+    // One traversal fills this cluster's column of the vertex-major
+    // store as it discovers each vertex.
+    MultiSourceBfsBase::NearestColumns columns;
+    columns.dist = sketch->dist_.data() + c;
+    columns.bits0 = sketch->bits0_.data() + c;
+    columns.bits1 = sketch->bits1_.data() + c;
+    columns.stride = k;
+    bfs->RunNearest(cluster.members, BfsOptions{}, columns);
 
-    // Members are mutually reachable (center + its neighbors), so every
-    // pairwise distance below is finite and the diameter is <= 2.
+    // Members are a center and its neighbors, so pairwise distances are
+    // at most 2. A member's own entry has dist 0; the members it misses
+    // in bits0 are at least 1 hop away, and those it misses in bits0 |
+    // bits1 are 2 hops away.
+    const uint64_t all = cluster.members.size() == 64
+                             ? ~uint64_t{0}
+                             : (uint64_t{1} << cluster.members.size()) - 1;
     Level diameter = 0;
-    for (size_t i = 0; i < members; ++i) {
-      const Level* row = levels.data() + i * n;
-      for (size_t j = 0; j < members; ++j) {
-        diameter = std::max(diameter, row[cluster.members[j]]);
+    for (Vertex member : cluster.members) {
+      const size_t slot = static_cast<size_t>(member) * k + c;
+      const uint64_t b0 = sketch->bits0_[slot];
+      const uint64_t b1 = sketch->bits1_[slot];
+      if ((b0 | b1) != all) {
+        diameter = 2;
+      } else if (b0 != all) {
+        diameter = std::max<Level>(diameter, 1);
       }
     }
     cluster.diameter = diameter;
     sketch->clusters_.push_back(std::move(cluster));
-
-    // Fold the member-major level rows into this cluster's column of
-    // the vertex-major store.
-    Level* dist = sketch->dist_.data();
-    uint64_t* bits0 = sketch->bits0_.data();
-    uint64_t* bits1 = sketch->bits1_.data();
-    const Level* member_levels = levels.data();
-    executor->ParallelFor(n, /*split_size=*/4096, [&](int /*worker*/,
-                                                      uint64_t begin,
-                                                      uint64_t end) {
-      for (uint64_t v = begin; v < end; ++v) {
-        Level dmin = kLevelUnreached;
-        for (size_t i = 0; i < members; ++i) {
-          dmin = std::min(dmin, member_levels[i * n + v]);
-        }
-        const size_t slot = v * k + c;
-        dist[slot] = dmin;
-        if (dmin == kLevelUnreached) continue;
-        uint64_t b0 = 0;
-        uint64_t b1 = 0;
-        // dmin + 1 stays a valid level here: dmin <= kMaxLevel, and the
-        // == comparison against an unreached member is only a concern
-        // when dmin itself is kMaxLevel, in which case dmin + 1 ==
-        // kLevelUnreached would mistakenly count unreached members.
-        const bool track_next = dmin < kMaxLevel;
-        for (size_t i = 0; i < members; ++i) {
-          const Level d = member_levels[i * n + v];
-          if (d == dmin) {
-            b0 |= uint64_t{1} << i;
-          } else if (track_next && d == dmin + 1) {
-            b1 |= uint64_t{1} << i;
-          }
-        }
-        bits0[slot] = b0;
-        bits1[slot] = b1;
-      }
-    });
   }
 #ifdef PBFS_TRACING
   span.AddArg("bytes", sketch->SketchBytes());

@@ -15,7 +15,10 @@
 //   bits0: members with d(v, m) == dist         (uint64)
 //   bits1: members with d(v, m) == dist + 1     (uint64)
 // laid out vertex-major so one query touches two contiguous k-entry
-// rows — 18 bytes per cluster per vertex.
+// rows — 18 bytes per cluster per vertex. MS-PBFS records the three
+// values as it discovers each vertex (MultiSourceBfsBase::RunNearest):
+// dist and bits0 at the first discovery, bits1 at the next level's; no
+// level rows are written.
 //
 // A sketch is immutable and tagged with the content_version of the
 // snapshot it was built from; see sketch/rebuilder.h for the
@@ -90,7 +93,8 @@ class ClusterSketch {
   std::vector<uint64_t> bits1_;
 };
 
-// Builds a sketch over `graph` with one MS-PBFS pass per cluster.
+// Builds a sketch over `graph` with one MS-PBFS pass per cluster, each
+// writing its cluster's column of the store directly.
 // `content_version` is stamped onto the result for staleness checks;
 // pass the owning snapshot's content_version (or any constant when
 // sketching a standalone graph).

@@ -208,19 +208,47 @@ TEST(ApplyLabelingTest, BfsLevelsCommuteWithRelabeling) {
 }
 
 TEST(ApplyLabelingTest, ParallelMatchesSequential) {
-  Graph g = Kronecker({.scale = 11, .edge_factor = 8, .seed = 5});
-  std::vector<Vertex> perm = ComputeLabeling(
-      g, Labeling::kStriped, {.num_workers = 4, .split_size = 128});
-  Graph sequential = ApplyLabeling(g, perm);
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("kron11",
+                      Kronecker({.scale = 11, .edge_factor = 8, .seed = 5}));
+  // At scale 14 lists of 4 or more ids are sorted through the bitmap
+  // and shorter ones with std::sort, so both branches run.
+  graphs.emplace_back("kron14",
+                      Kronecker({.scale = 14, .edge_factor = 16, .seed = 9}));
+  // n not a multiple of 64; a hub adjacent to ids 0 and n-1 under the
+  // identity and reversed labelings.
+  const Vertex odd_n = (1 << 14) + 37;
+  std::vector<Edge> hub_edges;
+  for (Vertex v = 0; v < odd_n; v += 61) hub_edges.push_back({1000, v});
+  hub_edges.push_back({1000, odd_n - 1});
+  for (Vertex v = 1; v < 9; ++v) {
+    hub_edges.push_back({0, v});
+    hub_edges.push_back({odd_n - 1, odd_n - 1 - v});
+  }
+  graphs.emplace_back("hub_odd_n", Graph::FromEdges(odd_n, hub_edges));
   WorkerPool pool({.num_workers = 4, .pin_threads = false});
-  Graph parallel = ApplyLabelingParallel(g, perm, &pool);
-  ASSERT_EQ(parallel.num_vertices(), sequential.num_vertices());
-  ASSERT_EQ(parallel.num_directed_edges(), sequential.num_directed_edges());
-  for (Vertex v = 0; v < sequential.num_vertices(); ++v) {
-    auto a = sequential.Neighbors(v);
-    auto b = parallel.Neighbors(v);
-    ASSERT_EQ(a.size(), b.size()) << v;
-    for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << v;
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const Vertex n = g.num_vertices();
+    std::vector<Vertex> reversed(n);
+    for (Vertex v = 0; v < n; ++v) reversed[v] = n - 1 - v;
+    for (const std::vector<Vertex>& perm :
+         {ComputeLabeling(g, Labeling::kStriped,
+                          {.num_workers = 4, .split_size = 128}),
+          ComputeLabeling(g, Labeling::kIdentity),
+          ComputeLabeling(g, Labeling::kRandom, {}, 3), reversed}) {
+      Graph sequential = ApplyLabeling(g, perm);
+      Graph parallel = ApplyLabelingParallel(g, perm, &pool);
+      ASSERT_EQ(parallel.num_vertices(), sequential.num_vertices());
+      ASSERT_EQ(parallel.num_directed_edges(),
+                sequential.num_directed_edges());
+      for (Vertex v = 0; v < sequential.num_vertices(); ++v) {
+        auto a = sequential.Neighbors(v);
+        auto b = parallel.Neighbors(v);
+        ASSERT_EQ(a.size(), b.size()) << v;
+        for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << v;
+      }
+    }
   }
 }
 

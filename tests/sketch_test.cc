@@ -13,6 +13,7 @@
 // Reproduction: failures print the PBFS_DIFF_SEED banner from
 // tests/differential/diff_util.h.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +31,7 @@
 #include "sched/worker_pool.h"
 #include "sketch/oracle.h"
 #include "sketch/rebuilder.h"
+#include "sketch/seed_select.h"
 #include "sketch/sketch.h"
 #include "util/rng.h"
 
@@ -166,6 +168,156 @@ TEST(ClusterSketchTest, ParallelBuildMatchesSerial) {
     const DistanceBounds b = parallel_sketch->Query(s, t);
     EXPECT_EQ(a.lower, b.lower) << "s=" << s << " t=" << t;
     EXPECT_EQ(a.upper, b.upper) << "s=" << s << " t=" << t;
+  }
+}
+
+// Reference Cluster-BFS entries of one cluster, folded from one
+// sequential BFS per member: per vertex, the distance to the nearest
+// member, the members at that distance and those one hop further; and
+// the largest member-to-member distance.
+struct ReferenceCluster {
+  std::vector<Level> dist;
+  std::vector<uint64_t> bits0;
+  std::vector<uint64_t> bits1;
+  Level diameter = 0;
+};
+
+ReferenceCluster FoldMemberBfs(const Graph& graph,
+                               const std::vector<Vertex>& members) {
+  const Vertex n = graph.num_vertices();
+  std::vector<std::vector<Level>> rows(members.size(),
+                                       std::vector<Level>(n));
+  for (size_t i = 0; i < members.size(); ++i) {
+    SequentialBfs(graph, members[i], rows[i].data());
+  }
+  ReferenceCluster ref;
+  ref.dist.assign(n, kLevelUnreached);
+  ref.bits0.assign(n, 0);
+  ref.bits1.assign(n, 0);
+  for (const std::vector<Level>& row : rows) {
+    for (Vertex member : members) {
+      ref.diameter = std::max(ref.diameter, row[member]);
+    }
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    Level dmin = kLevelUnreached;
+    for (const std::vector<Level>& row : rows) dmin = std::min(dmin, row[v]);
+    ref.dist[v] = dmin;
+    if (dmin == kLevelUnreached) continue;
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (rows[i][v] == dmin) {
+        ref.bits0[v] |= uint64_t{1} << i;
+      } else if (dmin < kMaxLevel && rows[i][v] == dmin + 1) {
+        ref.bits1[v] |= uint64_t{1} << i;
+      }
+    }
+  }
+  return ref;
+}
+
+// The bounds ClusterSketch::Query must give for (s, t), from reference
+// entries and the shared bound functions.
+DistanceBounds ReferenceQuery(const std::vector<ReferenceCluster>& clusters,
+                              Vertex s, Vertex t) {
+  DistanceBounds bounds;
+  if (s == t) {
+    bounds.upper = 0;
+    return bounds;
+  }
+  for (const ReferenceCluster& c : clusters) {
+    uint32_t slack = c.diameter;
+    if ((c.bits0[s] & c.bits0[t]) != 0) {
+      slack = 0;
+    } else if (((c.bits0[s] & c.bits1[t]) | (c.bits1[s] & c.bits0[t])) != 0) {
+      slack = 1;
+    } else if ((c.bits1[s] & c.bits1[t]) != 0) {
+      slack = 2;
+    }
+    TightenBounds(bounds, c.dist[s], c.dist[t], slack);
+  }
+  ClampDistinctPair(bounds);
+  return bounds;
+}
+
+// The sketch records its entries while MS-PBFS discovers each vertex.
+// They must give the same answer on every pair as entries folded from
+// a separate BFS per member, for clusters of one member, clusters
+// larger than the center's neighborhood, isolated seeds and vertices no
+// cluster reaches.
+TEST(ClusterSketchTest, SketchEntriesMatchPerMemberBfs) {
+  struct Input {
+    std::string name;
+    Graph graph;
+  };
+  std::vector<Input> inputs;
+  for (int trial = 0; trial < diff::NumTrials(); ++trial) {
+    for (diff::CorpusGraph& entry : diff::MakeCorpus(diff::TrialSeed(trial))) {
+      inputs.push_back({entry.name + "#" + std::to_string(trial),
+                        std::move(entry.graph)});
+    }
+  }
+  // Two components, so some vertices are out of reach of some clusters.
+  std::vector<Edge> split = {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}};
+  for (Vertex v = 11; v < 40; ++v) split.push_back({10, v});
+  split.push_back({39, 40});
+  inputs.push_back({"disconnected", Graph::FromEdges(41, split)});
+  // Every center has at most two neighbors, far fewer than most
+  // cluster sizes.
+  inputs.push_back({"path", Path(50)});
+  // Five non-isolated vertices: seeds past the fifth are isolated and
+  // form one-member clusters.
+  inputs.push_back({"isolated_seeds",
+                    Graph::FromEdges(30, std::vector<Edge>{
+                                             {0, 1}, {1, 2}, {2, 0}, {3, 4}})});
+
+  SerialExecutor serial;
+  WorkerPool pool({.num_workers = 4, .pin_threads = false});
+  constexpr int kClusters = 6;
+  for (const Input& input : inputs) {
+    const Graph& graph = input.graph;
+    const Vertex n = graph.num_vertices();
+    const std::vector<Vertex> seeds =
+        SelectSeeds(graph, kClusters, SeedStrategy::kHighestDegree, 1);
+    for (int cluster_size : {1, 3, 16, 64}) {
+      std::vector<ReferenceCluster> reference;
+      std::vector<std::vector<Vertex>> members;
+      for (Vertex center : seeds) {
+        std::vector<Vertex>& m = members.emplace_back(1, center);
+        for (Vertex nb : graph.Neighbors(center)) {
+          if (m.size() == static_cast<size_t>(cluster_size)) break;
+          m.push_back(nb);
+        }
+        reference.push_back(FoldMemberBfs(graph, m));
+      }
+      for (Executor* executor : {static_cast<Executor*>(&serial),
+                                 static_cast<Executor*>(&pool)}) {
+        SCOPED_TRACE(input.name + " cluster_size=" +
+                     std::to_string(cluster_size) + " workers=" +
+                     std::to_string(executor->num_workers()));
+        auto sketch = BuildSketch(graph, 1, executor,
+                                  {.num_clusters = kClusters,
+                                   .cluster_size = cluster_size});
+        ASSERT_EQ(sketch->clusters().size(), seeds.size());
+        for (size_t c = 0; c < seeds.size(); ++c) {
+          ASSERT_EQ(sketch->clusters()[c].members, members[c]);
+          ASSERT_EQ(sketch->clusters()[c].diameter, reference[c].diameter);
+        }
+        int mismatches = 0;
+        for (Vertex s = 0; s < n && mismatches < 5; ++s) {
+          for (Vertex t = 0; t < n && mismatches < 5; ++t) {
+            const DistanceBounds got = sketch->Query(s, t);
+            const DistanceBounds want = ReferenceQuery(reference, s, t);
+            if (got.lower != want.lower || got.upper != want.upper) {
+              ++mismatches;
+              ADD_FAILURE() << "s=" << s << " t=" << t << ": ["
+                            << got.lower << ", " << got.upper
+                            << "], want [" << want.lower << ", "
+                            << want.upper << "]";
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -156,6 +156,18 @@ TEST(StressDeathTest, ChecksFireOnBadArguments) {
   auto ms = MakeMsPbfs(g, 64, &serial);
   std::vector<Vertex> too_many(65, 0);
   EXPECT_DEATH(ms->Run(too_many, BfsOptions{}, nullptr), "PBFS_CHECK");
+  // Nearest-source columns: MS-PBFS only, and one 64-bit word of sources.
+  std::vector<Level> dist(4, kLevelUnreached);
+  std::vector<uint64_t> bits0(4, 0);
+  std::vector<uint64_t> bits1(4, 0);
+  const MultiSourceBfsBase::NearestColumns columns{dist.data(), bits0.data(),
+                                                   bits1.data(), 1};
+  const std::vector<Vertex> one = {0};
+  EXPECT_DEATH(MakeMsBfs(g, 64)->RunNearest(one, BfsOptions{}, columns),
+               "PBFS_CHECK");
+  auto wide = MakeMsPbfs(g, 128, &serial);
+  EXPECT_DEATH(wide->RunNearest(too_many, BfsOptions{}, columns),
+               "PBFS_CHECK");
 }
 
 TEST(StressDeathTest, LevelOverflowIsCaughtNotWrapped) {
